@@ -12,7 +12,7 @@ use ulmt_simcore::{ConfigError, LineAddr, PageAddr};
 use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
 use crate::cost::StepResult;
 
-use super::snapshot::{RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
+use super::snapshot::{fingerprint_bytes, RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
 use super::storage::{RowPtr, RowTable, TableStats};
 use super::TableParams;
 
@@ -35,7 +35,7 @@ use super::TableParams;
 /// let step = base.process_miss(LineAddr::new(1));
 /// assert_eq!(step.prefetches, vec![LineAddr::new(2)]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Base {
     params: TableParams,
     table: RowTable,
@@ -141,10 +141,28 @@ impl Base {
         Ok(base)
     }
 
+    /// The canonical snapshot bytes, equal to
+    /// `self.snapshot().to_bytes()` but encoded straight from the arena
+    /// without building the per-row [`TableSnapshot`].
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let ctx = self
+            .last
+            .iter()
+            .map(|&ptr| self.table.tag_of(ptr).map(LineAddr::raw));
+        self.table
+            .canonical_bytes(SnapshotKind::Base, &self.params, ctx)
+    }
+
     /// Fingerprint of the learned contents (see
-    /// [`TableSnapshot::fingerprint`]).
+    /// [`TableSnapshot::fingerprint`]), hashed from
+    /// [`Base::snapshot_bytes`].
     pub fn table_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
+        fingerprint_bytes(&self.snapshot_bytes())
+    }
+
+    /// The row storage, read-only.
+    pub fn row_table(&self) -> &RowTable {
+        &self.table
     }
 
     /// Prefetching step: look up `miss` and emit all its stored successors
@@ -192,6 +210,24 @@ impl Base {
             }
         };
         self.last = Some(ptr);
+    }
+}
+
+/// Field-wise, so `clone_from` refreshes a copy in place (see
+/// [`RowTable`]).
+impl Clone for Base {
+    fn clone(&self) -> Self {
+        Base {
+            params: self.params,
+            table: self.table.clone(),
+            last: self.last,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.params = src.params;
+        self.table.clone_from(&src.table);
+        self.last = src.last;
     }
 }
 

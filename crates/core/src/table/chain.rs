@@ -17,7 +17,7 @@ use ulmt_simcore::{LineAddr, PageAddr};
 use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
 use crate::cost::StepResult;
 
-use super::snapshot::{RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
+use super::snapshot::{fingerprint_bytes, RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
 use super::storage::{RowPtr, RowTable, TableStats};
 use super::TableParams;
 
@@ -40,7 +40,7 @@ use super::TableParams;
 /// let step = chain.process_miss(LineAddr::new(1));
 /// assert!(step.prefetches.starts_with(&[LineAddr::new(2), LineAddr::new(3)]));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Chain {
     params: TableParams,
     table: RowTable,
@@ -126,10 +126,46 @@ impl Chain {
         Ok(chain)
     }
 
+    /// The canonical snapshot bytes, equal to
+    /// `self.snapshot().to_bytes()` but encoded straight from the arena
+    /// without building the per-row [`TableSnapshot`].
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let ctx = self
+            .last
+            .iter()
+            .map(|&ptr| self.table.tag_of(ptr).map(LineAddr::raw));
+        self.table
+            .canonical_bytes(SnapshotKind::Chain, &self.params, ctx)
+    }
+
     /// Fingerprint of the learned contents (see
-    /// [`TableSnapshot::fingerprint`]).
+    /// [`TableSnapshot::fingerprint`]), hashed from
+    /// [`Chain::snapshot_bytes`].
     pub fn table_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
+        fingerprint_bytes(&self.snapshot_bytes())
+    }
+
+    /// The row storage, read-only.
+    pub fn row_table(&self) -> &RowTable {
+        &self.table
+    }
+}
+
+/// Field-wise, so `clone_from` refreshes a copy in place (see
+/// [`RowTable`]).
+impl Clone for Chain {
+    fn clone(&self) -> Self {
+        Chain {
+            params: self.params,
+            table: self.table.clone(),
+            last: self.last,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.params = src.params;
+        self.table.clone_from(&src.table);
+        self.last = src.last;
     }
 }
 

@@ -19,7 +19,7 @@ use ulmt_simcore::{LineAddr, PageAddr};
 use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
 use crate::cost::StepResult;
 
-use super::snapshot::{RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
+use super::snapshot::{fingerprint_bytes, RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
 use super::storage::{RowPtr, RowTable, TableStats};
 use super::TableParams;
 
@@ -43,7 +43,7 @@ use super::TableParams;
 /// assert_eq!(preds[0], vec![LineAddr::new(2)]);
 /// assert_eq!(preds[1], vec![LineAddr::new(3)]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Replicated {
     params: TableParams,
     table: RowTable,
@@ -146,10 +146,46 @@ impl Replicated {
         Ok(repl)
     }
 
+    /// The canonical snapshot bytes, equal to
+    /// `self.snapshot().to_bytes()` but encoded straight from the arena
+    /// without building the per-row [`TableSnapshot`].
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let ctx = self
+            .pointers
+            .iter()
+            .map(|&ptr| self.table.tag_of(ptr).map(LineAddr::raw));
+        self.table
+            .canonical_bytes(SnapshotKind::Repl, &self.params, ctx)
+    }
+
     /// Fingerprint of the learned contents (see
-    /// [`TableSnapshot::fingerprint`]).
+    /// [`TableSnapshot::fingerprint`]), hashed from
+    /// [`Replicated::snapshot_bytes`].
     pub fn table_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
+        fingerprint_bytes(&self.snapshot_bytes())
+    }
+
+    /// The row storage, read-only.
+    pub fn row_table(&self) -> &RowTable {
+        &self.table
+    }
+}
+
+/// Field-wise, so `clone_from` refreshes a copy in place (see
+/// [`RowTable`]).
+impl Clone for Replicated {
+    fn clone(&self) -> Self {
+        Replicated {
+            params: self.params,
+            table: self.table.clone(),
+            pointers: self.pointers.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.params = src.params;
+        self.table.clone_from(&src.table);
+        self.pointers.clone_from(&src.pointers);
     }
 }
 

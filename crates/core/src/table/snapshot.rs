@@ -155,71 +155,26 @@ impl TableSnapshot {
         }
     }
 
-    /// Approximate in-memory size of the snapshot, in bytes. Used by the
-    /// service's checkpoint accounting to report how much learned state a
-    /// recovery checkpoint retains, without serializing it first.
-    pub fn approx_bytes(&self) -> u64 {
-        let rows: usize = self
-            .rows
-            .iter()
-            .map(|r| {
-                std::mem::size_of::<RowSnapshot>()
-                    + r.levels
-                        .iter()
-                        .map(|l| std::mem::size_of::<Vec<u64>>() + l.len() * 8)
-                        .sum::<usize>()
-            })
-            .sum();
-        (std::mem::size_of::<TableSnapshot>() + rows + self.learn_ctx.len() * 9) as u64
-    }
-
     /// A 64-bit fingerprint of the learned contents, computed over the
     /// canonical byte encoding. Two tables fingerprint equal iff they
     /// learned identical rows in an identical recency order — the
     /// property the service's determinism checks rely on.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write(&self.to_bytes());
-        h.finish()
+        fingerprint_bytes(&self.to_bytes())
     }
 
     /// Serializes to the versioned binary format (little-endian, fully
     /// self-contained; no external dependencies).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.rows.len() * 32);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.kind.code());
-        for dim in [
-            self.params.num_rows,
-            self.params.assoc,
-            self.params.num_succ,
-            self.params.num_levels,
-        ] {
-            out.extend_from_slice(&(dim as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&(self.rows.len() as u32).to_le_bytes());
+        let max_succ = self.params.num_levels * self.params.num_succ;
+        let mut w = CanonicalWriter::new(self.kind, &self.params, self.rows.len(), max_succ);
         for row in &self.rows {
-            out.extend_from_slice(&row.tag.to_le_bytes());
-            out.push(row.levels.len() as u8);
+            w.row(row.tag, row.levels.len());
             for level in &row.levels {
-                out.push(level.len() as u8);
-                for succ in level {
-                    out.extend_from_slice(&succ.to_le_bytes());
-                }
+                w.level(level.iter().copied());
             }
         }
-        out.push(self.learn_ctx.len() as u8);
-        for entry in &self.learn_ctx {
-            match entry {
-                Some(tag) => {
-                    out.push(1);
-                    out.extend_from_slice(&tag.to_le_bytes());
-                }
-                None => out.push(0),
-            }
-        }
-        out
+        w.finish(self.learn_ctx.iter().copied())
     }
 
     /// Decodes the binary format produced by [`TableSnapshot::to_bytes`].
@@ -269,6 +224,80 @@ impl TableSnapshot {
             rows,
             learn_ctx,
         })
+    }
+}
+
+/// The fingerprint of a canonical encoding (see
+/// [`TableSnapshot::fingerprint`]).
+pub(crate) fn fingerprint_bytes(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Writes the canonical binary encoding: header, rows, learning context.
+/// [`TableSnapshot::to_bytes`] and the arena-direct encoder
+/// (`RowTable::canonical_bytes`) both go through it, so a snapshot and
+/// the table it was taken from encode the same bytes by construction.
+pub(crate) struct CanonicalWriter {
+    out: Vec<u8>,
+}
+
+impl CanonicalWriter {
+    /// Starts an encoding of `num_rows` rows holding at most `max_succ`
+    /// successors each (used only to size the buffer once).
+    pub(crate) fn new(
+        kind: SnapshotKind,
+        params: &TableParams,
+        num_rows: usize,
+        max_succ: usize,
+    ) -> Self {
+        let mut out = Vec::with_capacity(32 + num_rows * (16 + 8 * max_succ));
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.push(kind.code());
+        for dim in [
+            params.num_rows,
+            params.assoc,
+            params.num_succ,
+            params.num_levels,
+        ] {
+            out.extend_from_slice(&(dim as u32).to_le_bytes());
+        }
+        out.extend_from_slice(&(num_rows as u32).to_le_bytes());
+        CanonicalWriter { out }
+    }
+
+    /// Starts a row: its tag and how many levels follow.
+    pub(crate) fn row(&mut self, tag: u64, levels: usize) {
+        self.out.extend_from_slice(&tag.to_le_bytes());
+        self.out.push(levels as u8);
+    }
+
+    /// One level of the current row, MRU first.
+    pub(crate) fn level(&mut self, succs: impl ExactSizeIterator<Item = u64>) {
+        self.out.push(succs.len() as u8);
+        for succ in succs {
+            self.out.extend_from_slice(&succ.to_le_bytes());
+        }
+    }
+
+    /// Appends the learning context and returns the encoding.
+    pub(crate) fn finish(
+        mut self,
+        learn_ctx: impl ExactSizeIterator<Item = Option<u64>>,
+    ) -> Vec<u8> {
+        self.out.push(learn_ctx.len() as u8);
+        for entry in learn_ctx {
+            match entry {
+                Some(tag) => {
+                    self.out.push(1);
+                    self.out.extend_from_slice(&tag.to_le_bytes());
+                }
+                None => self.out.push(0),
+            }
+        }
+        self.out
     }
 }
 

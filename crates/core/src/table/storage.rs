@@ -20,6 +20,7 @@
 
 use ulmt_simcore::{Addr, LineAddr, PageAddr};
 
+use super::snapshot::{CanonicalWriter, SnapshotKind};
 use super::TableParams;
 
 /// A fixed-capacity most-recently-used list of successor addresses.
@@ -265,7 +266,11 @@ impl<'a> RowRef<'a> {
 /// Rows live at synthetic main-memory addresses (`base_addr +
 /// slot * row_bytes`) so the memory-processor model can replay table
 /// accesses against its private cache.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` copies field by field into the destination's existing
+/// buffers, so refreshing a copy of a same-sized table (a service
+/// checkpoint) allocates nothing.
+#[derive(Debug)]
 pub struct RowTable {
     num_sets: usize,
     assoc: usize,
@@ -288,6 +293,55 @@ pub struct RowTable {
     live: usize,
     lru_clock: u64,
     stats: TableStats,
+}
+
+impl Clone for RowTable {
+    fn clone(&self) -> Self {
+        RowTable {
+            tags: self.tags.clone(),
+            valid: self.valid.clone(),
+            gens: self.gens.clone(),
+            lrus: self.lrus.clone(),
+            lens: self.lens.clone(),
+            succ: self.succ.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let RowTable {
+            num_sets,
+            assoc,
+            num_succ,
+            levels,
+            row_bytes,
+            base_addr,
+            ref tags,
+            ref valid,
+            ref gens,
+            ref lrus,
+            ref lens,
+            ref succ,
+            live,
+            lru_clock,
+            stats,
+        } = *src;
+        self.tags.clone_from(tags);
+        self.valid.clone_from(valid);
+        self.gens.clone_from(gens);
+        self.lrus.clone_from(lrus);
+        self.lens.clone_from(lens);
+        self.succ.clone_from(succ);
+        self.num_sets = num_sets;
+        self.assoc = assoc;
+        self.num_succ = num_succ;
+        self.levels = levels;
+        self.row_bytes = row_bytes;
+        self.base_addr = base_addr;
+        self.live = live;
+        self.lru_clock = lru_clock;
+        self.stats = stats;
+    }
 }
 
 /// Default base address of the table in the memory processor's address
@@ -359,6 +413,38 @@ impl RowTable {
     /// Total size of the table in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.tags.len() as u64 * self.row_bytes
+    }
+
+    /// Host bytes of the arena buffers (`tags`, `valid`, `gens`, `lrus`,
+    /// `lens`, `succ`): what copying the table moves. Unlike
+    /// [`RowTable::size_bytes`], which is the paper's 32-bit row size,
+    /// this is the in-memory footprint of this layout.
+    pub fn arena_bytes(&self) -> u64 {
+        use std::mem::size_of_val;
+        (size_of_val(&self.tags[..])
+            + size_of_val(&self.valid[..])
+            + size_of_val(&self.gens[..])
+            + size_of_val(&self.lrus[..])
+            + size_of_val(&self.lens[..])
+            + size_of_val(&self.succ[..])) as u64
+    }
+
+    /// `(address, capacity)` of each arena buffer, in the order of
+    /// [`RowTable::arena_bytes`]. Lets tests check that a copy refreshed
+    /// with `clone_from` kept its allocations.
+    #[doc(hidden)]
+    pub fn arena_buffers(&self) -> [(usize, usize); 6] {
+        fn buf<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.as_ptr() as usize, v.capacity())
+        }
+        [
+            buf(&self.tags),
+            buf(&self.valid),
+            buf(&self.gens),
+            buf(&self.lrus),
+            buf(&self.lens),
+            buf(&self.succ),
+        ]
     }
 
     /// Memory address of the row behind `ptr`.
@@ -580,6 +666,30 @@ impl RowTable {
         let mut live: Vec<usize> = (0..self.tags.len()).filter(|&i| self.valid[i]).collect();
         live.sort_by_key(|&i| self.lrus[i]);
         live
+    }
+
+    /// The canonical snapshot encoding of this table (see
+    /// [`TableSnapshot::to_bytes`](super::TableSnapshot::to_bytes)),
+    /// written straight from the arena: rows in LRU-to-MRU order, every
+    /// stored level, then `learn_ctx`. Byte-identical to building the
+    /// algorithm's snapshot and encoding it, without the per-row
+    /// allocations.
+    pub(crate) fn canonical_bytes(
+        &self,
+        kind: SnapshotKind,
+        params: &TableParams,
+        learn_ctx: impl ExactSizeIterator<Item = Option<u64>>,
+    ) -> Vec<u8> {
+        let order = self.live_slots_lru();
+        let mut w = CanonicalWriter::new(kind, params, order.len(), self.levels * self.num_succ);
+        for slot in order {
+            let row = self.row_ref(slot);
+            w.row(self.tags[slot].raw(), self.levels);
+            for level in 0..self.levels {
+                w.level(row.level(level).iter().map(|s| s.raw()));
+            }
+        }
+        w.finish(learn_ctx)
     }
 
     /// Valid rows as `(tag, row)` views in LRU-to-MRU order — the same
@@ -909,6 +1019,46 @@ mod tests {
             }
             assert_eq!(t.occupancy(), t.live_rows_lru().len(), "step {step}");
         }
+    }
+
+    #[test]
+    fn clone_from_reuses_buffers_and_copies_state() {
+        let mut src = RowTable::new(&params(64, 2), 12, 1);
+        let mut copy = src.clone();
+        let buffers = copy.arena_buffers();
+        for n in 0..200 {
+            let (ptr, _) = src.find_or_alloc(line(n % 97));
+            push_succ(&mut src, ptr, line(n + 1));
+        }
+        copy.clone_from(&src);
+        assert_eq!(copy.arena_buffers(), buffers, "same allocations");
+        assert_eq!(copy.arena_bytes(), src.arena_bytes());
+        assert_eq!(copy.occupancy(), src.occupancy());
+        assert_eq!(copy.stats(), src.stats());
+        let rows = |t: &RowTable| -> Vec<(LineAddr, Vec<LineAddr>)> {
+            t.live_rows_lru()
+                .into_iter()
+                .map(|(tag, row)| (tag, row.level(0).to_vec()))
+                .collect()
+        };
+        assert_eq!(rows(&copy), rows(&src));
+        // The LRU clock came across too: the next allocation in either
+        // table picks the same victim.
+        assert_eq!(copy.find_or_alloc(line(500)), src.find_or_alloc(line(500)));
+    }
+
+    #[test]
+    fn arena_bytes_counts_every_buffer() {
+        // 16 rows x 2 levels x 3 successors: tags, gens, lrus 8 B a row,
+        // valid 1 B, lens 2 B, succ 6 x 8 B.
+        let p = TableParams {
+            num_rows: 16,
+            assoc: 2,
+            num_succ: 3,
+            num_levels: 2,
+        };
+        let t = RowTable::new(&p, 28, 2);
+        assert_eq!(t.arena_bytes(), 16 * (8 + 1 + 8 + 8 + 2 + 48));
     }
 
     #[test]

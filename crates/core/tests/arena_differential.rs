@@ -9,6 +9,11 @@
 //! stats, predictions, snapshots, snapshot byte encodings and
 //! fingerprints. This is the proof obligation of the arena rewrite: a
 //! pure layout change with zero observable drift.
+//!
+//! The same schedules also hold the arena's own shortcuts to account:
+//! the canonical bytes and fingerprint encoded straight from the arena
+//! must equal those of the materialised snapshot, and a copy refreshed
+//! in place with `clone_from` must continue exactly like its source.
 
 use ulmt_core::algorithm::{CollectSink, UlmtAlgorithm};
 use ulmt_core::table::reference::{RefBase, RefChain, RefReplicated};
@@ -241,4 +246,103 @@ fn batch_kernel_matches_reference_per_miss_path() {
         run_ref(RefReplicated::new(params(3, 2)), &misses),
         "repl"
     );
+}
+
+/// Drives one arena algorithm through a schedule. After every operation
+/// the arena-direct encoding must equal the snapshot's (bytes and
+/// fingerprint), and a copy refreshed with `clone_from` — across resizes,
+/// so the refreshed buffers change size — must stay equal to the source.
+/// At the end, the copy and the source must continue miss for miss.
+fn assert_arena_encoding<A>(
+    mut alg: A,
+    seed: u64,
+    with_resize: bool,
+    resize: impl Fn(&mut A, usize),
+    snapshot: impl Fn(&A) -> TableSnapshot,
+    snapshot_bytes: impl Fn(&A) -> Vec<u8>,
+    fingerprint: impl Fn(&A) -> u64,
+) where
+    A: UlmtAlgorithm + Clone,
+{
+    let mut copy = alg.clone();
+    for (i, op) in schedule(seed, with_resize).into_iter().enumerate() {
+        match op {
+            Op::Misses(misses) => {
+                let mut sink = CollectSink::default();
+                alg.process_misses(&misses, &mut sink);
+            }
+            Op::Remap(old, new) => alg.remap_page(old, new),
+            Op::Resize(rows) => resize(&mut alg, rows),
+        }
+        let snap = snapshot(&alg);
+        assert_eq!(
+            snapshot_bytes(&alg),
+            snap.to_bytes(),
+            "arena bytes after op {i} (seed {seed})"
+        );
+        assert_eq!(
+            fingerprint(&alg),
+            snap.fingerprint(),
+            "fingerprint after op {i} (seed {seed})"
+        );
+        copy.clone_from(&alg);
+        assert_eq!(
+            snapshot_bytes(&copy),
+            snap.to_bytes(),
+            "clone_from copy after op {i}"
+        );
+    }
+    for (j, &miss) in miss_stream(seed ^ 0xC0DE, 500, 8).iter().enumerate() {
+        assert_eq!(
+            copy.process_miss(miss),
+            alg.process_miss(miss),
+            "copy diverged at miss {j} (seed {seed})"
+        );
+    }
+    assert_eq!(fingerprint(&copy), fingerprint(&alg));
+}
+
+#[test]
+fn base_arena_encoding_matches_snapshot() {
+    for seed in [2u64, 13, 58] {
+        assert_arena_encoding(
+            Base::new(params(1, 4)),
+            seed,
+            true,
+            |a, rows| a.resize(rows),
+            |a| a.snapshot(),
+            |a| a.snapshot_bytes(),
+            |a| a.table_fingerprint(),
+        );
+    }
+}
+
+#[test]
+fn chain_arena_encoding_matches_snapshot() {
+    for seed in [4u64, 17, 61] {
+        assert_arena_encoding(
+            Chain::new(params(3, 2)),
+            seed,
+            false,
+            |_, _| unreachable!("chain schedule has no resize"),
+            |a| a.snapshot(),
+            |a| a.snapshot_bytes(),
+            |a| a.table_fingerprint(),
+        );
+    }
+}
+
+#[test]
+fn replicated_arena_encoding_matches_snapshot() {
+    for seed in [6u64, 29, 83] {
+        assert_arena_encoding(
+            Replicated::new(params(3, 2)),
+            seed,
+            true,
+            |a, rows| a.resize(rows),
+            |a| a.snapshot(),
+            |a| a.snapshot_bytes(),
+            |a| a.table_fingerprint(),
+        );
+    }
 }

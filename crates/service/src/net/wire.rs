@@ -37,7 +37,7 @@ use crate::service::{ServiceError, TenantStats};
 pub const MAGIC: u32 = 0x554C_4D54;
 
 /// Wire protocol version this build speaks.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Bytes in a frame header (length prefix + kind tag).
 pub const HEADER_BYTES: usize = 5;
@@ -535,6 +535,7 @@ pub(crate) fn encode_metrics(out: &mut Vec<u8>, r: &MetricsReport) {
         put_histogram(out, &s.batch_size);
         put_histogram(out, &s.queue_wait_nanos);
         put_histogram(out, &s.ingest_nanos);
+        put_histogram(out, &s.checkpoint_nanos);
     }
 }
 
@@ -568,6 +569,7 @@ pub(crate) fn decode_metrics(bytes: &[u8]) -> Result<MetricsReport, WireError> {
             batch_size: read_histogram(&mut p)?,
             queue_wait_nanos: read_histogram(&mut p)?,
             ingest_nanos: read_histogram(&mut p)?,
+            checkpoint_nanos: read_histogram(&mut p)?,
         });
     }
     p.finish()?;
@@ -728,6 +730,14 @@ mod tests {
                 want: WIRE_VERSION
             })
         ));
+        // A version-1 peer (no checkpoint histogram in MetricsOk) is
+        // refused at the handshake with a typed mismatch.
+        let mut v1 = bytes.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            decode_hello(&v1),
+            Err(WireError::VersionMismatch { got: 1, want: 2 })
+        ));
         // Truncate mid-spec.
         assert!(matches!(
             decode_hello(&bytes[..bytes.len() - 3]),
@@ -839,19 +849,21 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn metrics_report_round_trips() {
+    /// A one-shard report with every histogram populated.
+    fn populated_metrics() -> MetricsReport {
         let mut batch_size = Log2Histogram::new();
         let mut queue_wait = Log2Histogram::new();
         let mut ingest = Log2Histogram::new();
+        let mut checkpoint = Log2Histogram::new();
         for v in [0u64, 1, 3, 256, 1 << 40, u64::MAX] {
             batch_size.record(v);
             queue_wait.record(v / 2);
             ingest.record(v.saturating_add(7));
+            checkpoint.record(v / 3);
         }
         let mut recovery_nanos = Log2Histogram::new();
         recovery_nanos.record(5_000_000);
-        let report = MetricsReport {
+        MetricsReport {
             enabled: true,
             recoveries: 1,
             recovery_nanos,
@@ -868,8 +880,14 @@ mod tests {
                 batch_size,
                 queue_wait_nanos: queue_wait,
                 ingest_nanos: ingest,
+                checkpoint_nanos: checkpoint,
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn metrics_report_round_trips() {
+        let report = populated_metrics();
         let mut bytes = Vec::new();
         encode_metrics(&mut bytes, &report);
         assert_eq!(decode_metrics(&bytes).unwrap(), report);
@@ -886,6 +904,30 @@ mod tests {
         encode_metrics(&mut bytes, &MetricsReport::disabled());
         assert!(matches!(
             decode_metrics(&bytes[..bytes.len() - 2]),
+            Err(WireError::Truncated { .. })
+        ));
+        // Every strict prefix of a populated report is typed, including
+        // the one that ends before the trailing checkpoint histogram —
+        // the shape of a version-1 shard record.
+        let mut full = Vec::new();
+        encode_metrics(&mut full, &populated_metrics());
+        for len in 0..full.len() {
+            assert!(
+                matches!(
+                    decode_metrics(&full[..len]),
+                    Err(WireError::Truncated { .. })
+                ),
+                "prefix of {len} bytes"
+            );
+        }
+        let mut without_checkpoint = Vec::new();
+        put_histogram(
+            &mut without_checkpoint,
+            &populated_metrics().shards[0].checkpoint_nanos,
+        );
+        let v1_len = full.len() - without_checkpoint.len();
+        assert!(matches!(
+            decode_metrics(&full[..v1_len]),
             Err(WireError::Truncated { .. })
         ));
         // A histogram advertising more buckets than exist is typed.

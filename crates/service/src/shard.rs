@@ -23,10 +23,12 @@
 //! Since the supervision layer (see [`crate::supervisor`]) the worker is
 //! also *recoverable*: every accepted batch is journaled before it is
 //! acknowledged, the whole shard state (tables, counters, virtual clock)
-//! is checkpointed every `checkpoint_every` accepted batches, and a
-//! replacement worker can be rebuilt from checkpoint + journal replay
-//! through the same `process_misses` batch kernel — bit-identical to a
-//! worker that never died whenever the journal window covers the gap.
+//! is checkpointed every `checkpoint_every` accepted batches — each
+//! tenant's table as a copy of its flat arena, refreshed in place in the
+//! previous checkpoint's buffers — and a replacement worker can be
+//! rebuilt from checkpoint + journal replay through the same
+//! `process_misses` batch kernel — bit-identical to a worker that never
+//! died whenever the journal window covers the gap.
 //! Queued ingress batches die with their worker epoch; their clients
 //! observe a dropped reply channel and resubmit (at-least-once), which
 //! is also why the piggybacked rejected/shed counters are *cumulative*:
@@ -40,7 +42,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
-use ulmt_core::table::{Base, Chain, Replicated, SnapshotError, SnapshotKind, TableSnapshot};
+use ulmt_core::table::{
+    Base, Chain, Replicated, RowTable, SnapshotError, SnapshotKind, TableSnapshot,
+};
 use ulmt_simcore::{
     CancelToken, Cycle, FxHashMap, LineAddr, Server, ServiceFault, ServiceFaultPlan, TraceBuffer,
     TraceEvent,
@@ -58,10 +62,35 @@ use crate::supervisor::{
 /// A tenant's concrete table. The [`UlmtAlgorithm`] trait is not
 /// object-safe across threads (tables are plain data, the trait is not
 /// `Send`-bounded), so the shard holds this closed enum instead.
-enum TenantTable {
+///
+/// A checkpoint holds a copy of this enum; `clone_from` refreshes that
+/// copy in place, reusing its arena buffers.
+#[derive(Debug)]
+pub(crate) enum TenantTable {
     Base(Base),
     Chain(Chain),
     Repl(Replicated),
+}
+
+impl Clone for TenantTable {
+    fn clone(&self) -> Self {
+        match self {
+            TenantTable::Base(t) => TenantTable::Base(t.clone()),
+            TenantTable::Chain(t) => TenantTable::Chain(t.clone()),
+            TenantTable::Repl(t) => TenantTable::Repl(t.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (TenantTable::Base(d), TenantTable::Base(s)) => d.clone_from(s),
+            (TenantTable::Chain(d), TenantTable::Chain(s)) => d.clone_from(s),
+            (TenantTable::Repl(d), TenantTable::Repl(s)) => d.clone_from(s),
+            // A tenant's algorithm never changes, so this arm only runs
+            // if the copy belonged to another tenant.
+            (d, s) => *d = s.clone(),
+        }
+    }
 }
 
 impl TenantTable {
@@ -83,6 +112,8 @@ impl TenantTable {
 
     /// Restores `snap` into a table of the *same* algorithm as `self`
     /// — the tenant's registered kind, not whatever the snapshot says.
+    /// Serves client `restore` only; recovery copies checkpointed tables
+    /// back as they are.
     fn restored(&self, snap: &TableSnapshot) -> Result<Self, SnapshotError> {
         snap.expect_kind(self.kind())?;
         match self {
@@ -132,6 +163,14 @@ impl TenantTable {
             TenantTable::Base(t) => t.table_size_bytes(),
             TenantTable::Chain(t) => t.table_size_bytes(),
             TenantTable::Repl(t) => t.table_size_bytes(),
+        }
+    }
+
+    fn row_table(&self) -> &RowTable {
+        match self {
+            TenantTable::Base(t) => t.row_table(),
+            TenantTable::Chain(t) => t.row_table(),
+            TenantTable::Repl(t) => t.row_table(),
         }
     }
 }
@@ -313,16 +352,18 @@ pub(crate) struct RebuildSummary {
 
 /// Rebuilds a shard's in-memory state from its last checkpoint plus a
 /// replay of the journaled batches past it, through the same
-/// [`IngestSink`] cadence as live ingestion. Clean recovery (journal
-/// covers the whole gap) therefore reproduces tables, per-tenant stats,
-/// the virtual clock and the utilization server bit-identically.
+/// [`IngestSink`] cadence as live ingestion. The checkpoint's tables are
+/// exact copies of the live ones, so they are moved in as they are.
+/// Clean recovery (journal covers the whole gap) therefore reproduces
+/// tables, per-tenant stats, the virtual clock and the utilization
+/// server bit-identically.
 pub(crate) fn rebuild_shard(
     shard: u32,
     cfg: &ServiceConfig,
     specs: &[(u32, TenantSpec)],
-    checkpoint: Option<&ShardCheckpoint>,
+    checkpoint: Option<ShardCheckpoint>,
     journal: &ObservationJournal,
-) -> Result<(ShardInit, RebuildSummary), SnapshotError> {
+) -> (ShardInit, RebuildSummary) {
     let mut tenants: FxHashMap<u32, TenantState> = FxHashMap::default();
     for &(tenant, ref spec) in specs {
         tenants
@@ -342,12 +383,12 @@ pub(crate) fn rebuild_shard(
         stats = cp.stats;
         now = cp.now;
         server = Server::from_state(cp.server);
-        for tc in &cp.tenants {
+        for tc in cp.tenants {
+            checkpoint_bytes += tc.table.row_table().arena_bytes();
             if let Some(state) = tenants.get_mut(&tc.tenant) {
-                state.table = state.table.restored(&tc.snap)?;
+                state.table = tc.table;
                 state.stats = tc.stats;
             }
-            checkpoint_bytes += tc.snap.approx_bytes();
         }
     }
 
@@ -393,7 +434,7 @@ pub(crate) fn rebuild_shard(
         checkpoint_bytes,
         tenants_restored: tenants.len() as u32,
     };
-    Ok((
+    (
         ShardInit {
             tenants,
             stats,
@@ -401,7 +442,7 @@ pub(crate) fn rebuild_shard(
             server,
         },
         summary,
-    ))
+    )
 }
 
 /// Merges a batch's piggybacked *cumulative* rejected/shed counters into
@@ -581,11 +622,22 @@ impl WorkerLoop<'_> {
         obs.clear();
         let _ = reply.send(BatchReply::accepted(observed, prefetches, obs));
         if self.since_checkpoint >= self.cfg.supervision.checkpoint_every {
-            take_checkpoint(self.slot, &self.st);
-            self.since_checkpoint = 0;
+            self.checkpoint();
         }
         self.slot.health.note_processed(self.st.now);
         BatchOutcome::Done
+    }
+
+    /// Takes a checkpoint and restarts the interval. With metrics on,
+    /// the copy's wall time feeds the `checkpoint_nanos` histogram; with
+    /// metrics off it reads no clock.
+    fn checkpoint(&mut self) {
+        let t0 = self.metrics.as_ref().map(|_| Instant::now());
+        take_checkpoint(self.slot, &self.st);
+        if let (Some(m), Some(t0)) = (&mut self.metrics, t0) {
+            m.note_checkpoint(t0.elapsed().as_nanos() as u64);
+        }
+        self.since_checkpoint = 0;
     }
 
     /// Drains `tenant`'s ingress queue until `barrier` batches have been
@@ -677,8 +729,7 @@ impl WorkerLoop<'_> {
                     // A warm start is control-plane state the journal
                     // never sees; checkpoint immediately so a crash can
                     // never silently roll the tenant back past it.
-                    take_checkpoint(self.slot, &self.st);
-                    self.since_checkpoint = 0;
+                    self.checkpoint();
                 }
             }
             ShardMsg::Fingerprint {
@@ -903,28 +954,48 @@ fn reject_late(msg: ShardMsg, w: &WorkerLoop<'_>) {
     }
 }
 
-/// Captures the shard's complete state into its slot's checkpoint cell.
+/// Copies the shard's complete state into its slot's checkpoint cell.
+///
+/// Each tenant's table is copied arena to arena with `clone_from`, into
+/// the buffers of the previous checkpoint's copy of the same tenant, so
+/// a steady-state checkpoint allocates nothing; only a tenant opened
+/// since the last checkpoint gets a fresh copy. The copy happens under
+/// the cell's lock, so recovery never sees a half-refreshed checkpoint.
 fn take_checkpoint(slot: &ShardSlot, st: &ShardInit) {
-    let mut tenants: Vec<TenantCheckpoint> = st
-        .tenants
-        .values()
-        .map(|s| TenantCheckpoint {
-            tenant: s.stats.tenant,
-            snap: s.table.snapshot(),
-            stats: s.stats,
-        })
-        .collect();
+    let seq = lock(&slot.journal).last_acked();
+    let mut cell = lock(&slot.checkpoint);
+    let mut tenants = cell.take().map(|cp| cp.tenants).unwrap_or_default();
+    tenants.retain_mut(|t| match st.tenants.get(&t.tenant) {
+        Some(s) => {
+            t.table.clone_from(&s.table);
+            t.stats = s.stats;
+            true
+        }
+        None => false,
+    });
+    let known = tenants.len();
+    for (&tenant, s) in &st.tenants {
+        if tenants[..known]
+            .binary_search_by_key(&tenant, |t| t.tenant)
+            .is_err()
+        {
+            tenants.push(TenantCheckpoint {
+                tenant,
+                table: s.table.clone(),
+                stats: s.stats,
+            });
+        }
+    }
     // Deterministic order, so checkpoint contents don't depend on hash
-    // map iteration.
-    tenants.sort_by_key(|t| t.tenant);
-    let cp = ShardCheckpoint {
-        seq: lock(&slot.journal).last_acked(),
+    // map iteration (and the lookup above can binary-search).
+    tenants.sort_unstable_by_key(|t| t.tenant);
+    *cell = Some(ShardCheckpoint {
+        seq,
         now: st.now,
         server: st.server.state(),
         stats: st.stats,
         tenants,
-    };
-    *lock(&slot.checkpoint) = Some(cp);
+    });
 }
 
 /// Fills in the derived fields of the running counters.
@@ -934,4 +1005,101 @@ fn finalize(st: &ShardInit) -> ShardStats {
     out.busy_cycles = st.server.busy_cycles();
     out.elapsed_cycles = st.now.max(st.server.next_free());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ingest(st: &mut ShardInit, tenant: u32, seed: u64) {
+        let obs: Vec<LineAddr> = (0..256u64)
+            .map(|i| LineAddr::new((i * 7 + seed * 13) % 400))
+            .collect();
+        let state = st.tenants.get_mut(&tenant).expect("tenant");
+        let mut prefetches = Vec::new();
+        let mut sink = IngestSink {
+            now: &mut st.now,
+            obs_cycles: 1,
+            server: &mut st.server,
+            prefetches: &mut prefetches,
+        };
+        state.table.process_misses(&obs, &mut sink);
+    }
+
+    fn open(st: &mut ShardInit, tenant: u32, spec: TenantSpec) {
+        st.tenants
+            .insert(tenant, TenantState::new(tenant, TenantTable::new(&spec)));
+    }
+
+    /// `(address, capacity)` of each arena buffer of one table.
+    type Buffers = [(usize, usize); 6];
+
+    /// Per checkpointed tenant: id, arena buffers, fingerprint.
+    fn checkpointed(slot: &ShardSlot) -> Vec<(u32, Buffers, u64)> {
+        let cell = lock(&slot.checkpoint);
+        let cp = cell.as_ref().expect("a checkpoint was taken");
+        cp.tenants
+            .iter()
+            .map(|t| {
+                (
+                    t.tenant,
+                    t.table.row_table().arena_buffers(),
+                    t.table.fingerprint(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn consecutive_checkpoints_reuse_the_arena_buffers() {
+        let cfg = ServiceConfig::default();
+        let slot = ShardSlot::new(0, &cfg);
+        let mut st = ShardInit {
+            tenants: FxHashMap::default(),
+            stats: ShardStats::default(),
+            now: 0,
+            server: Server::new(),
+        };
+        open(&mut st, 2, TenantSpec::repl(1024));
+        open(&mut st, 1, TenantSpec::base(1024));
+        ingest(&mut st, 1, 1);
+        ingest(&mut st, 2, 1);
+        take_checkpoint(&slot, &st);
+        let first = checkpointed(&slot);
+        let list_addr = lock(&slot.checkpoint).as_ref().unwrap().tenants.as_ptr();
+
+        // More learning on the same tenant set: the copies are refreshed
+        // in place, so every buffer keeps its address and capacity.
+        ingest(&mut st, 1, 2);
+        ingest(&mut st, 2, 2);
+        take_checkpoint(&slot, &st);
+        let second = checkpointed(&slot);
+        assert_eq!(second.len(), 2);
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.0, b.0, "tenant order");
+            assert_eq!(a.1, b.1, "tenant {}: arena buffers reused", a.0);
+            assert_ne!(a.2, b.2, "tenant {}: contents refreshed", a.0);
+            assert_eq!(b.2, st.tenants[&b.0].table.fingerprint());
+        }
+        assert_eq!(
+            lock(&slot.checkpoint).as_ref().unwrap().tenants.as_ptr(),
+            list_addr,
+            "the tenant list is reused too"
+        );
+
+        // A tenant opened between checkpoints gets a fresh copy, in
+        // tenant order; the others still reuse their buffers.
+        open(&mut st, 0, TenantSpec::chain(512));
+        ingest(&mut st, 0, 3);
+        ingest(&mut st, 2, 3);
+        take_checkpoint(&slot, &st);
+        let third = checkpointed(&slot);
+        let ids: Vec<u32> = third.iter().map(|t| t.0).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(third[1].1, second[0].1, "tenant 1 buffers reused");
+        assert_eq!(third[2].1, second[1].1, "tenant 2 buffers reused");
+        for (tenant, _, fp) in &third {
+            assert_eq!(*fp, st.tenants[tenant].table.fingerprint());
+        }
+    }
 }

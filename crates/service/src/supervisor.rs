@@ -32,14 +32,15 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ulmt_core::table::TableSnapshot;
 use ulmt_simcore::{CancelToken, Cycle, ServerState, ServiceFaultState};
 
 use crate::config::{ServiceConfig, TenantSpec};
 use crate::ingress::Ingress;
 use crate::journal::ObservationJournal;
 use crate::service::{ShardStats, TenantStats};
-use crate::shard::{rebuild_shard, run_worker, ShardExit, ShardMsg, ShardReport, WorkerCtx};
+use crate::shard::{
+    rebuild_shard, run_worker, ShardExit, ShardMsg, ShardReport, TenantTable, WorkerCtx,
+};
 
 /// Locks a mutex, recovering the data if a previous holder panicked.
 /// Shard state must stay reachable after a worker dies mid-anything —
@@ -153,11 +154,12 @@ impl ShardHealth {
     }
 }
 
-/// One tenant's contribution to a checkpoint.
+/// One tenant's contribution to a checkpoint: a copy of its live table
+/// (arena and learning context), not a canonical snapshot.
 #[derive(Debug, Clone)]
 pub(crate) struct TenantCheckpoint {
     pub tenant: u32,
-    pub snap: TableSnapshot,
+    pub table: TenantTable,
     pub stats: TenantStats,
 }
 
@@ -350,7 +352,9 @@ pub struct RecoveryReport {
     pub checkpoint_seq: u64,
     /// Last acked seq the rebuilt shard resumed after.
     pub resumed_seq: u64,
-    /// Approximate bytes of learned state the checkpoint carried.
+    /// Bytes of table arena the checkpoint held and recovery moved back
+    /// into the rebuilt shard: the host-memory size of every tenant's
+    /// copied arena buffers (0 when recovery started without one).
     pub checkpoint_bytes: u64,
     /// Wall-clock nanoseconds from fencing the dead epoch to publishing
     /// the replacement link.
@@ -564,16 +568,7 @@ impl Supervisor {
         let checkpoint = lock(&slot.checkpoint).clone();
         let (init, summary) = {
             let journal = lock(&slot.journal);
-            match rebuild_shard(slot.shard, &self.cfg, &specs, checkpoint.as_ref(), &journal) {
-                Ok(built) => built,
-                Err(_) => {
-                    // A checkpoint that no longer restores is a bug, not
-                    // a transient: keep the shard down rather than serve
-                    // a half-rebuilt table.
-                    slot.take_down(ShardState::Failed);
-                    return;
-                }
-            }
+            rebuild_shard(slot.shard, &self.cfg, &specs, checkpoint, &journal)
         };
         let epoch = old_epoch + 1;
         let watermark = init.now();

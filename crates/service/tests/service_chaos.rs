@@ -68,10 +68,10 @@ fn cfg(supervision: SupervisionConfig, fault: Option<ServiceFaultConfig>) -> Ser
 }
 
 /// Submits one batch and waits for its ack, resubmitting through crashes
-/// and recoveries. Safe because the shard journals before acking: a
-/// batch whose ack we never saw was never journaled, so replaying it
-/// cannot double-count.
-fn submit_until_acked(session: &mut Session, obs: &[LineAddr]) {
+/// and recoveries, and returns the acked batch's prefetches. Safe because
+/// the shard journals before acking: a batch whose ack we never saw was
+/// never journaled, so replaying it cannot double-count.
+fn submit_until_acked(session: &mut Session, obs: &[LineAddr]) -> Vec<LineAddr> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         assert!(
@@ -87,7 +87,7 @@ fn submit_until_acked(session: &mut Session, obs: &[LineAddr]) {
             Err(e) => panic!("unrecoverable submit error: {e}"),
         };
         match pending.wait() {
-            Ok(reply) if reply.error.is_none() && !reply.shed => return,
+            Ok(reply) if reply.error.is_none() && !reply.shed => return reply.prefetches,
             // Rejected or shed: nothing was learned; try again.
             Ok(_) => continue,
             // The worker died with the batch unacked; resubmit.
@@ -124,7 +124,7 @@ fn run_interleaved(
     for round in 0..rounds {
         for (i, (_, stream)) in streams.iter().enumerate() {
             if let Some(obs) = stream.get(round) {
-                submit_until_acked(&mut sessions[i], obs);
+                let _ = submit_until_acked(&mut sessions[i], obs);
             }
         }
     }
@@ -199,6 +199,71 @@ fn kill_recovery_is_bit_identical_within_journal_window() {
         final_reports[0].epoch, 1,
         "final report comes from the restarted epoch"
     );
+}
+
+/// Feeds one tenant's stream through a single-shard service and returns
+/// every batch's prefetches, the fingerprint after the whole stream, and
+/// the service's recovery reports.
+fn run_one_tenant(
+    spec: TenantSpec,
+    stream: &[Vec<LineAddr>],
+    fault: Option<ServiceFaultConfig>,
+) -> (Vec<Vec<LineAddr>>, u64, Vec<ulmt_service::RecoveryReport>) {
+    let service = PrefetchService::start(cfg(fast_supervision(8, 16), fault));
+    let mut session = service.open(1, spec).expect("open");
+    let prefetches = stream
+        .iter()
+        .map(|obs| submit_until_acked(&mut session, obs))
+        .collect();
+    let fp = session.fingerprint().expect("fingerprint");
+    if fault.is_some() {
+        wait_for_recoveries(&service, 1);
+    }
+    let reports = service.recovery_reports();
+    service.shutdown();
+    (prefetches, fp, reports)
+}
+
+#[test]
+fn kill_at_a_checkpoint_boundary_continues_bit_identically() {
+    // The kill fires as the shard would accept batch seq 17, right after
+    // the seq-16 checkpoint: recovery replays nothing, so the rebuilt
+    // tables are exactly the checkpoint's arena copies. Every later
+    // batch's prefetches, and the final fingerprint, must match a shard
+    // that never died — for each algorithm, since each keeps its own
+    // learning context (last-miss pointer, Replicated's pointer deque).
+    for spec in [
+        TenantSpec::base(512),
+        TenantSpec::chain(512),
+        TenantSpec::repl(512),
+    ] {
+        let stream = batches(3, 28);
+        let (control, control_fp, _) = run_one_tenant(spec, &stream, None);
+        let fault = ServiceFaultConfig::disabled(0xB0DA).kill(0, 17);
+        let (chaos, chaos_fp, reports) = run_one_tenant(spec, &stream, Some(fault));
+
+        assert_eq!(reports.len(), 1, "{:?}: one kill", spec.kind);
+        let r = &reports[0];
+        assert_eq!(r.checkpoint_seq, 16);
+        assert_eq!(
+            r.outcome,
+            RecoveryOutcome::Clean {
+                replayed_batches: 0
+            },
+            "{:?}: nothing to replay past the checkpoint",
+            spec.kind
+        );
+        assert_eq!(r.replayed_obs, 0);
+        assert!(r.checkpoint_bytes > 0);
+        for (i, (a, b)) in chaos.iter().zip(&control).enumerate() {
+            assert_eq!(a, b, "{:?}: batch {i} prefetches diverged", spec.kind);
+        }
+        assert_eq!(
+            chaos_fp, control_fp,
+            "{:?}: fingerprint after the stream",
+            spec.kind
+        );
+    }
 }
 
 #[test]
